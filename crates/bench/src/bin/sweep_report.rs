@@ -18,7 +18,7 @@
 //!   (compressed store vs the `Vec<Vec<u32>>` layout it replaced, with
 //!   per-encoding list tallies),
 //! * wall-clock per sweep (mean and min over the scale's reps),
-//! * per-phase wall-clock from [`SweepProfile`] (enumeration, greedy,
+//! * per-phase wall-clock from [`SweepProfile`](uavnet_core::SweepProfile) (enumeration, greedy,
 //!   connection, scoring — summed across worker threads — plus the
 //!   one-time substrate build, the portion of greedy/connection spent
 //!   on substrate reads, and tile-view construction on sharded runs),

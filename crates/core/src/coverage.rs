@@ -19,6 +19,11 @@
 //! kernel walks without decoding, so gain queries stay allocation-free.
 //! Under `debug-validate` every encoded list is decoded and checked
 //! bit-identical against the uncompressed input at build time.
+//!
+//! When users move, [`CoverageTables::patch`] applies per-user list
+//! edits: it re-encodes only the lists they touch and copies every
+//! other list's encoded words verbatim, so the result is the store a
+//! fresh encode of the edited lists would produce.
 
 use serde::{Deserialize, Serialize};
 use uavnet_flow::{UserList, UserRun};
@@ -57,11 +62,12 @@ pub struct CoverageMemory {
 /// per list and stored structure-of-arrays.
 ///
 /// Lists are pushed in row-major order (`class * locations + loc`) by
-/// the instance builder and are immutable afterwards. [`list`]
-/// (CoverageTables::list) returns a borrowed view; [`count`]
-/// (CoverageTables::count) is an O(1) table lookup (the decoded length
-/// is cached), which is what the CELF upper bound reads.
-#[derive(Debug, Clone)]
+/// the instance builder and change only through `patch`.
+/// [`list`](CoverageTables::list) returns a borrowed view;
+/// [`count`](CoverageTables::count) is an O(1) table lookup (the
+/// decoded length is cached), which is what the CELF upper bound
+/// reads.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverageTables {
     classes: usize,
     locations: usize,
@@ -76,6 +82,16 @@ pub struct CoverageTables {
     runs: Vec<UserRun>,
     words: Vec<u64>,
     uncompressed_bytes: usize,
+}
+
+/// One membership change of a coverage list: `user` enters (`insert`)
+/// or leaves the list addressed row-major as `class * locations + loc`.
+/// Sorting orders edits by list, then user.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct ListEdit {
+    pub(crate) list: usize,
+    pub(crate) user: u32,
+    pub(crate) insert: bool,
 }
 
 impl CoverageTables {
@@ -166,7 +182,7 @@ impl CoverageTables {
         #[cfg(feature = "debug-validate")]
         {
             let i = self.enc.len() - 1;
-            let decoded = self.list(i / self.locations, i % self.locations).to_vec();
+            let decoded = self.entry(i).to_vec();
             assert_eq!(
                 decoded, list,
                 "debug-validate: compressed coverage list diverges at entry {i}"
@@ -183,6 +199,99 @@ impl CoverageTables {
             "coverage table shape mismatch"
         );
         self
+    }
+
+    /// Applies `edits`, sorted by `(list, user)` with at most one edit
+    /// per pair; a removal must name a member and an insertion a
+    /// non-member. Touched lists are decoded, edited and re-encoded
+    /// with [`push_list`](Self::push_list); every other list's encoded
+    /// words are copied verbatim. The arenas stay packed, so the store
+    /// equals a fresh encode of the edited lists, byte for byte —
+    /// `O(ids in touched lists + bytes of the store)`.
+    pub(crate) fn patch(&mut self, edits: &[ListEdit]) {
+        if edits.is_empty() {
+            return;
+        }
+        debug_assert!(
+            edits
+                .windows(2)
+                .all(|w| (w[0].list, w[0].user) < (w[1].list, w[1].user)),
+            "list edits must be sorted and unique per (list, user)"
+        );
+        let old = std::mem::replace(self, Self::with_shape(self.classes, self.locations));
+        self.ids.reserve(old.ids.len());
+        self.runs.reserve(old.runs.len());
+        self.words.reserve(old.words.len());
+        let mut rest = edits;
+        let mut list = Vec::new();
+        for i in 0..old.enc.len() {
+            let (here, tail) = rest.split_at(rest.partition_point(|e| e.list == i));
+            rest = tail;
+            if here.is_empty() {
+                self.copy_list(&old, i);
+                continue;
+            }
+            list.clear();
+            let mut edits = here.iter().peekable();
+            for user in old.entry(i).iter() {
+                while let Some(e) = edits.next_if(|e| e.user < user) {
+                    debug_assert!(e.insert, "removal of non-member {}", e.user);
+                    list.push(e.user);
+                }
+                if let Some(e) = edits.next_if(|e| e.user == user) {
+                    debug_assert!(!e.insert, "insertion of member {user}");
+                    continue;
+                }
+                list.push(user);
+            }
+            for e in edits {
+                debug_assert!(e.insert, "removal of non-member {}", e.user);
+                list.push(e.user);
+            }
+            self.push_list(&list);
+        }
+        assert!(rest.is_empty(), "list edit outside the table shape");
+        #[cfg(feature = "debug-validate")]
+        {
+            let mut fresh = Self::with_shape(self.classes, self.locations);
+            for i in 0..self.enc.len() {
+                fresh.push_list(&self.entry(i).to_vec());
+            }
+            assert_eq!(
+                self.memory(),
+                fresh.memory(),
+                "debug-validate: patched coverage store diverges from a fresh encode"
+            );
+            assert!(
+                *self == fresh,
+                "debug-validate: patched coverage arenas diverge from a fresh encode"
+            );
+        }
+    }
+
+    /// Appends list `i` of `from` by copying its encoded words.
+    fn copy_list(&mut self, from: &CoverageTables, i: usize) {
+        let (s, l) = (from.start[i], from.len[i] as usize);
+        let start = match from.enc[i] {
+            Enc::Ids => {
+                self.ids.extend_from_slice(&from.ids[s..s + l]);
+                self.ids.len() - l
+            }
+            Enc::Runs => {
+                self.runs.extend_from_slice(&from.runs[s..s + l]);
+                self.runs.len() - l
+            }
+            Enc::Bits => {
+                self.words.extend_from_slice(&from.words[s..s + l]);
+                self.words.len() - l
+            }
+        };
+        self.enc.push(from.enc[i]);
+        self.start.push(start);
+        self.len.push(from.len[i]);
+        self.count.push(from.count[i]);
+        self.base.push(from.base[i]);
+        self.uncompressed_bytes += std::mem::size_of::<Vec<u32>>() + 4 * from.count[i] as usize;
     }
 
     /// Number of radio classes.
@@ -205,7 +314,12 @@ impl CoverageTables {
     #[inline]
     pub fn list(&self, class: usize, loc: usize) -> UserList<'_> {
         assert!(class < self.classes && loc < self.locations);
-        let i = class * self.locations + loc;
+        self.entry(class * self.locations + loc)
+    }
+
+    /// List `i` in row-major (`class * locations + loc`) order.
+    #[inline]
+    fn entry(&self, i: usize) -> UserList<'_> {
         let s = self.start[i];
         let l = self.len[i] as usize;
         match self.enc[i] {
@@ -324,6 +438,56 @@ mod tests {
         for (c, l) in lists.iter().enumerate() {
             assert_eq!(&decoded[c][0], l);
         }
+    }
+
+    #[test]
+    fn patch_equals_a_fresh_encode() {
+        let dense: Vec<u32> = (10..200).collect();
+        let holes: Vec<u32> = (0..200).filter(|v| v % 7 != 0).collect();
+        let lists: Vec<Vec<u32>> = vec![dense, holes, vec![5, 900, 40_000], vec![], vec![3]];
+        let mut t = CoverageTables::with_shape(1, lists.len());
+        for l in &lists {
+            t.push_list(l);
+        }
+        let mut t = t.finish();
+        let edit = |list, user, insert| ListEdit { list, user, insert };
+        // Break the run, drop into and out of every encoding, empty a
+        // list and fill an empty one.
+        let edits = [
+            edit(0, 9, true),
+            edit(0, 100, false),
+            edit(1, 7, true),
+            edit(1, 14, true),
+            edit(2, 5, false),
+            edit(2, 900, false),
+            edit(2, 40_000, false),
+            edit(3, 0, true),
+            edit(3, 64, true),
+        ];
+        t.patch(&edits);
+        let mut expect = lists.clone();
+        for e in edits {
+            let l = &mut expect[e.list];
+            if e.insert {
+                l.push(e.user);
+                l.sort_unstable();
+            } else {
+                l.retain(|&u| u != e.user);
+            }
+        }
+        let mut fresh = CoverageTables::with_shape(1, expect.len());
+        for l in &expect {
+            fresh.push_list(l);
+        }
+        let fresh = fresh.finish();
+        for (i, l) in expect.iter().enumerate() {
+            assert_eq!(&t.list(0, i).to_vec(), l, "list {i}");
+            assert_eq!(t.count(0, i), l.len());
+        }
+        assert_eq!(t.memory(), fresh.memory());
+        assert_eq!(t, fresh);
+        t.patch(&[]);
+        assert_eq!(t, fresh, "an empty patch changes nothing");
     }
 
     #[test]

@@ -582,7 +582,9 @@ impl SolverLoop {
     }
 
     fn apply_surge(&mut self, users: &[User]) -> Result<bool, CoreError> {
-        self.instance = self.instance.with_extra_users(users)?;
+        // Patched in place; an invalid batch is rejected before any
+        // state changes.
+        self.instance.add_users(users)?;
         // Existing ids are preserved, so the standing assignment stays
         // valid; grow_users re-derives the free bitset so the surged
         // ids become visible to the word-AND pre-passes.
@@ -600,21 +602,21 @@ impl SolverLoop {
     }
 
     fn apply_moves(&mut self, moves: &[(u32, Point2)]) -> Result<bool, CoreError> {
-        self.begin_dirty();
         // Old cells first: a station that only covered the *previous*
-        // position must be refreshed too.
-        for &(id, _) in moves {
-            let Some(user) = self.instance.users().get(id as usize) else {
-                return Err(CoreError::InvalidParameters(format!(
-                    "moved user {id} outside 0..{}",
-                    self.instance.num_users()
-                )));
-            };
-            if let Some(cell) = self.instance.grid().locate(user.pos) {
-                self.mark_dirty(cell);
-            }
+        // position must be refreshed too. Unknown ids are skipped here;
+        // the patch below rejects the whole batch before any state
+        // (dirty tiles included) changes.
+        let grid = self.instance.grid();
+        let old_cells: Vec<CellIndex> = moves
+            .iter()
+            .filter_map(|&(id, _)| self.instance.users().get(id as usize))
+            .filter_map(|user| grid.locate(user.pos))
+            .collect();
+        self.instance.move_users(moves)?;
+        self.begin_dirty();
+        for cell in old_cells {
+            self.mark_dirty(cell);
         }
-        self.instance = self.instance.with_moved_users(moves)?;
         for &(_, pos) in moves {
             if let Some(cell) = self.instance.grid().locate(pos) {
                 self.mark_dirty(cell);

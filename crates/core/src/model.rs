@@ -1,12 +1,12 @@
 //! The problem instance: users, the heterogeneous fleet, channels, the
 //! candidate-location graph and precomputed coverage tables.
 
-use crate::coverage::{CoverageMemory, CoverageTables};
+use crate::coverage::{CoverageMemory, CoverageTables, ListEdit};
 use crate::CoreError;
 use serde::{Deserialize, Serialize};
 use uavnet_channel::{AtgChannel, UavRadio, UavToUavChannel};
 use uavnet_flow::UserList;
-use uavnet_geom::{CellIndex, Grid, Point2, SpatialIndex};
+use uavnet_geom::{AreaSpec, CellIndex, Grid, Point2, SpatialIndex};
 use uavnet_graph::Graph;
 
 /// A ground user: position and minimum data-rate requirement
@@ -29,8 +29,7 @@ pub struct Uav {
     pub radio: UavRadio,
 }
 
-/// An immutable, preprocessed instance of the maximum connected
-/// coverage problem.
+/// A preprocessed instance of the maximum connected coverage problem.
 ///
 /// Construction (via [`Instance::builder`]) precomputes:
 ///
@@ -39,6 +38,10 @@ pub struct Uav {
 /// * **coverage tables**: for every distinct radio class and location,
 ///   the list of users that a UAV with that radio could serve there
 ///   (range *and* rate admissible).
+///
+/// Moving or adding users ([`Instance::with_moved_users`],
+/// [`Instance::with_extra_users`]) patches these tables per changed
+/// user instead of rebuilding them.
 #[derive(Debug, Clone)]
 pub struct Instance {
     grid: Grid,
@@ -298,21 +301,28 @@ impl Instance {
     /// indexed builder; not part of the public API surface.
     #[doc(hidden)]
     pub fn coverage_tables_bruteforce(&self) -> Vec<Vec<Vec<u32>>> {
-        let m = self.num_locations();
-        let num_classes = self.coverage.num_classes();
-        let mut tables = vec![vec![Vec::new(); m]; num_classes];
-        for (class, per_loc) in tables.iter_mut().enumerate() {
-            let uav = self
-                .radio_class
-                .iter()
-                .position(|&c| c == class)
-                .expect("every class has a UAV");
-            let radio = self.uavs[uav].radio;
-            for (loc, slot) in per_loc.iter_mut().enumerate() {
-                *slot = coverable_bruteforce(&self.atg, &radio, &self.grid, loc, &self.users);
-            }
-        }
-        tables
+        self.class_radios()
+            .iter()
+            .map(|radio| {
+                (0..self.num_locations())
+                    .map(|loc| coverable_bruteforce(&self.atg, radio, &self.grid, loc, &self.users))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The radio of every class, indexed by class id.
+    fn class_radios(&self) -> Vec<UavRadio> {
+        (0..self.coverage.num_classes())
+            .map(|class| {
+                let uav = self
+                    .radio_class
+                    .iter()
+                    .position(|&c| c == class)
+                    .expect("every class has a UAV");
+                self.uavs[uav].radio
+            })
+            .collect()
     }
 
     /// The coverage tables decoded into the legacy `[class][location]`
@@ -328,8 +338,9 @@ impl Instance {
     /// given UAV-to-UAV links (unordered cell pairs; pairs that were
     /// never edges are ignored). Coverage tables, fleet and users are
     /// shared semantics — only connectivity changes. Used by the
-    /// fault-injection harness ([`crate::verify`]) to model jammed or
-    /// shadowed inter-UAV links.
+    /// fault-injection harness
+    /// ([`inject_and_repair`](crate::inject_and_repair)) to model
+    /// jammed or shadowed inter-UAV links.
     ///
     /// # Errors
     ///
@@ -359,32 +370,26 @@ impl Instance {
     }
 
     /// A copy of this instance with `extra` users appended (a demand
-    /// surge). Coverage tables are rebuilt; existing user ids are
-    /// preserved, the new users take ids `n..n + extra.len()`.
+    /// surge). Existing ids are preserved; the new users take ids
+    /// `n..n + extra.len()`. The coverage tables are patched per new
+    /// user, not rebuilt, and the location graph (possibly degraded by
+    /// severed links) is kept.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidInstance`] if an extra user lies outside the
     /// zone or has an invalid minimum rate.
     pub fn with_extra_users(&self, extra: &[User]) -> Result<Instance, CoreError> {
-        let builder = InstanceBuilder {
-            grid: self.grid.clone(),
-            users: self.users.iter().chain(extra).copied().collect(),
-            uavs: self.uavs.clone(),
-            atg: self.atg,
-            uav_channel: self.uav_channel,
-            gateway: self.gateway,
-        };
-        let mut rebuilt = builder.build()?;
-        // Preserve this instance's connectivity, which may already be
-        // degraded by severed links.
-        rebuilt.location_graph = self.location_graph.clone();
-        Ok(rebuilt)
+        let mut next = self.clone();
+        next.add_users(extra)?;
+        Ok(next)
     }
 
     /// A copy of this instance with the listed users relocated (a
-    /// mobility tick). Coverage tables are rebuilt; every user keeps
-    /// its id, rate demand and ordering — only positions change.
+    /// mobility tick). Every user keeps its id, rate demand and
+    /// ordering; when an id repeats, its last move wins. The coverage
+    /// tables are patched per moved user, not rebuilt, and the location
+    /// graph (possibly degraded by severed links) is kept.
     ///
     /// # Errors
     ///
@@ -392,30 +397,164 @@ impl Instance {
     /// does not exist; [`CoreError::InvalidInstance`] if a new position
     /// lies outside the zone.
     pub fn with_moved_users(&self, moves: &[(u32, Point2)]) -> Result<Instance, CoreError> {
-        let n = self.num_users();
-        let mut users = self.users.clone();
-        for &(id, pos) in moves {
-            let Some(user) = users.get_mut(id as usize) else {
-                return Err(CoreError::InvalidParameters(format!(
-                    "moved user {id} outside 0..{n}"
-                )));
-            };
-            user.pos = pos;
-        }
-        let builder = InstanceBuilder {
-            grid: self.grid.clone(),
-            users,
-            uavs: self.uavs.clone(),
-            atg: self.atg,
-            uav_channel: self.uav_channel,
-            gateway: self.gateway,
-        };
-        let mut rebuilt = builder.build()?;
-        // Preserve this instance's connectivity, which may already be
-        // degraded by severed links.
-        rebuilt.location_graph = self.location_graph.clone();
-        Ok(rebuilt)
+        let mut next = self.clone();
+        next.move_users(moves)?;
+        Ok(next)
     }
+
+    /// In-place [`with_extra_users`](Self::with_extra_users). The new
+    /// ids exceed every existing one, so they append at the end of each
+    /// coverage list that admits them. The whole batch is validated
+    /// before anything changes: on `Err` the instance is untouched.
+    pub(crate) fn add_users(&mut self, extra: &[User]) -> Result<(), CoreError> {
+        let n = self.num_users();
+        let area = self.grid.spec().area();
+        for (i, u) in extra.iter().enumerate() {
+            check_user(&area, n + i, u)?;
+        }
+        if n + extra.len() > u32::MAX as usize {
+            return Err(CoreError::InvalidInstance(
+                "more than u32::MAX users".into(),
+            ));
+        }
+        self.users.extend_from_slice(extra);
+        self.user_positions.extend(extra.iter().map(|u| u.pos));
+        self.patch_users(&[], n);
+        Ok(())
+    }
+
+    /// In-place [`with_moved_users`](Self::with_moved_users). The whole
+    /// batch is validated before anything changes: on `Err` the
+    /// instance is untouched.
+    pub(crate) fn move_users(&mut self, moves: &[(u32, Point2)]) -> Result<(), CoreError> {
+        let n = self.num_users();
+        if let Some(&(id, _)) = moves.iter().find(|&&(id, _)| id as usize >= n) {
+            return Err(CoreError::InvalidParameters(format!(
+                "moved user {id} outside 0..{n}"
+            )));
+        }
+        let area = self.grid.spec().area();
+        for &(id, pos) in moves {
+            check_user(
+                &area,
+                id as usize,
+                &User {
+                    pos,
+                    ..self.users[id as usize]
+                },
+            )?;
+        }
+        // A stable sort keeps each id's moves in batch order; the last
+        // of each run is the one that counts.
+        let mut sorted = moves.to_vec();
+        sorted.sort_by_key(|&(id, _)| id);
+        let mut moved = Vec::with_capacity(sorted.len());
+        for (i, &(id, pos)) in sorted.iter().enumerate() {
+            if sorted.get(i + 1).is_some_and(|&(next, _)| next == id) {
+                continue;
+            }
+            let prev = std::mem::replace(&mut self.users[id as usize].pos, pos);
+            self.user_positions[id as usize] = pos;
+            moved.push((id, prev));
+        }
+        self.patch_users(&moved, n);
+        Ok(())
+    }
+
+    /// Brings the coverage tables, `best_coverage` and the user index
+    /// up to date after the users in `moved` (`(id, previous
+    /// position)`) changed position and ids `first_new..` were
+    /// appended; `users` and `user_positions` already hold the new
+    /// state.
+    ///
+    /// Per changed user and radio class, only the cells within range
+    /// of its previous and its new position are visited, and each list
+    /// whose answer to the builder's predicate (the planar `d² ≤ r²`
+    /// prefilter, then [`AtgChannel::can_serve`]) flips gets one edit.
+    /// Cost: `O(changed × cells in range × classes + bytes of the
+    /// store)`, plus the ids of the touched lists, which are decoded and
+    /// re-encoded; a rebuild costs `O(classes × cells × users in
+    /// range)`.
+    fn patch_users(&mut self, moved: &[(u32, Point2)], first_new: usize) {
+        let m = self.num_locations();
+        let radios = self.class_radios();
+        let appended = (first_new..self.users.len()).map(|id| (id as u32, None));
+        let mut edits = Vec::new();
+        for (id, prev) in moved.iter().map(|&(id, p)| (id, Some(p))).chain(appended) {
+            let user = self.users[id as usize];
+            for (class, radio) in radios.iter().enumerate() {
+                let range_sq = radio.user_range_m() * radio.user_range_m();
+                let in_range =
+                    |pos: Point2, loc| pos.distance_sq(self.grid.cell_center(loc)) <= range_sq;
+                let serves = |pos, loc| {
+                    self.atg
+                        .can_serve(radio, self.grid.hover_position(loc), pos, user.min_rate_bps)
+                };
+                let mut edit = |loc, insert| {
+                    edits.push(ListEdit {
+                        list: class * m + loc,
+                        user: id,
+                        insert,
+                    });
+                };
+                // `cells_within` applies the prefilter, so every cell
+                // it yields passes it for that position.
+                if let Some(prev) = prev {
+                    for loc in self.grid.cells_within(prev, radio.user_range_m()) {
+                        let was = serves(prev, loc);
+                        if was != (in_range(user.pos, loc) && serves(user.pos, loc)) {
+                            edit(loc, !was);
+                        }
+                    }
+                }
+                for loc in self.grid.cells_within(user.pos, radio.user_range_m()) {
+                    // Cells in range of both positions were decided above.
+                    if !prev.is_some_and(|p| in_range(p, loc)) && serves(user.pos, loc) {
+                        edit(loc, true);
+                    }
+                }
+            }
+        }
+        edits.sort_unstable();
+        self.coverage.patch(&edits);
+        for e in &edits {
+            let loc = e.list % m;
+            self.best_coverage[loc] = (0..radios.len())
+                .map(|class| self.coverage.count(class, loc))
+                .max()
+                .unwrap_or(0);
+        }
+        self.user_index.relocate(&self.user_positions, moved);
+        #[cfg(feature = "debug-validate")]
+        for touched in edits.chunk_by(|a, b| a.list == b.list) {
+            let (class, loc) = (touched[0].list / m, touched[0].list % m);
+            let brute =
+                coverable_bruteforce(&self.atg, &radios[class], &self.grid, loc, &self.users);
+            assert_eq!(
+                self.coverage.list(class, loc).to_vec(),
+                brute,
+                "debug-validate: patched coverage list diverges at class {class} loc {loc}"
+            );
+        }
+    }
+}
+
+/// The builder's per-user validity check: inside the zone, with a
+/// finite positive minimum rate.
+fn check_user(area: &AreaSpec, id: usize, u: &User) -> Result<(), CoreError> {
+    if !area.contains(u.pos) {
+        return Err(CoreError::InvalidInstance(format!(
+            "user {id} at {} outside the disaster zone",
+            u.pos
+        )));
+    }
+    if !(u.min_rate_bps.is_finite() && u.min_rate_bps > 0.0) {
+        return Err(CoreError::InvalidInstance(format!(
+            "user {id} has invalid minimum rate {}",
+            u.min_rate_bps
+        )));
+    }
+    Ok(())
 }
 
 /// Reference all-pairs coverage scan for one (radio, location) pair:
@@ -512,18 +651,7 @@ impl InstanceBuilder {
         }
         let area = self.grid.spec().area();
         for (i, u) in self.users.iter().enumerate() {
-            if !area.contains(u.pos) {
-                return Err(CoreError::InvalidInstance(format!(
-                    "user {i} at {} outside the disaster zone",
-                    u.pos
-                )));
-            }
-            if !(u.min_rate_bps.is_finite() && u.min_rate_bps > 0.0) {
-                return Err(CoreError::InvalidInstance(format!(
-                    "user {i} has invalid minimum rate {}",
-                    u.min_rate_bps
-                )));
-            }
+            check_user(&area, i, u)?;
         }
         if self.users.len() > u32::MAX as usize {
             return Err(CoreError::InvalidInstance(

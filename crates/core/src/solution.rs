@@ -297,7 +297,7 @@ pub fn score_deployment(instance: &Instance, placements: Vec<(usize, CellIndex)>
 ///
 /// # Errors
 ///
-/// [`CoreError::Validation`] wrapping the first malformed placement
+/// [`CoreError::Validation`](crate::CoreError::Validation) wrapping the first malformed placement
 /// (bad index or duplicate).
 pub fn try_score_deployment(
     instance: &Instance,

@@ -792,8 +792,8 @@ pub struct DegradationReport {
     /// Surviving placements the repair had to abandon (disconnected
     /// fragments or relay-budget shortfalls).
     pub dropped_placements: usize,
-    /// The repaired solution; `validate` passes against [`instance`]
-    /// (DegradationReport::instance).
+    /// The repaired solution; `validate` passes against
+    /// [`instance`](DegradationReport::instance).
     pub solution: Solution,
     /// The degraded instance (severed links and surged users applied)
     /// the repaired solution lives on.
@@ -911,10 +911,10 @@ fn inject_and_repair_from(
 
 impl DegradationReport {
     /// Injects further faults into this report's repaired scenario,
-    /// remembering every UAV already lost: [`killed_uavs`]
-    /// (DegradationReport::killed_uavs) are excluded from the spare
-    /// pool, so chained repairs can never re-deploy a casualty (the
-    /// repair-after-repair staleness bug). The returned report's
+    /// remembering every UAV already lost: the
+    /// [`killed_uavs`](DegradationReport::killed_uavs) are excluded
+    /// from the spare pool, so chained repairs can never re-deploy a
+    /// casualty (the repair-after-repair staleness bug). The returned report's
     /// `killed_uavs` is the running union.
     ///
     /// Calling with no faults is idempotent: the repair re-plans the

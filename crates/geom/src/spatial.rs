@@ -5,16 +5,20 @@
 //! `R_user^k` of the fleet — so that "points within `r` of a query
 //! center" touches only the bins overlapping the query disc instead of
 //! the whole population. Instance construction uses it to build the
-//! per-class coverage tables in `O(points + hits)` per location.
+//! per-class coverage tables in `O(points + hits)` per location, and
+//! [`SpatialIndex::relocate`] keeps it exact as points move.
 
 use crate::Point2;
 
-/// An immutable uniform-grid index over a point set.
+/// A uniform-grid index over a point set.
 ///
 /// Points are stored in CSR layout: `starts[b]..starts[b + 1]` slices
 /// `ids` with the (ascending) indices of the points falling into bin
 /// `b`. Queries scan the bins overlapping the query disc's bounding
-/// box and apply the exact `d² ≤ r²` test per point.
+/// box and apply the exact `d² ≤ r²` test per point. The bins span the
+/// bounding box of the points at [`build`](SpatialIndex::build) time;
+/// [`relocate`](SpatialIndex::relocate) re-bins moved and appended
+/// points in place while they stay inside it.
 ///
 /// # Examples
 ///
@@ -29,6 +33,8 @@ use crate::Point2;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
+    /// The bin side `build` was asked for, kept for rebuilds.
+    requested_bin_m: f64,
     bin_m: f64,
     min_x: f64,
     min_y: f64,
@@ -53,6 +59,7 @@ impl SpatialIndex {
     /// Panics if `points.len()` exceeds `u32::MAX`.
     pub fn build(points: &[Point2], bin_m: f64) -> Self {
         assert!(points.len() <= u32::MAX as usize, "too many points");
+        let requested_bin_m = bin_m;
         let bin_m = if bin_m.is_finite() && bin_m > 0.0 {
             bin_m
         } else {
@@ -68,6 +75,7 @@ impl SpatialIndex {
         }
         if points.is_empty() {
             return SpatialIndex {
+                requested_bin_m,
                 bin_m: 1.0,
                 min_x: 0.0,
                 min_y: 0.0,
@@ -88,37 +96,126 @@ impl SpatialIndex {
         } else {
             (1, 1, span_x.max(span_y).max(1.0) + 1.0)
         };
-        let num_bins = cols * rows;
-        // Counting sort into CSR: count per bin, prefix-sum, fill.
-        let bin_of = |p: &Point2| -> usize {
-            let bx = (((p.x - min_x) / bin_m) as usize).min(cols - 1);
-            let by = (((p.y - min_y) / bin_m) as usize).min(rows - 1);
-            by * cols + bx
-        };
-        let mut counts = vec![0u32; num_bins + 1];
-        for p in points {
-            counts[bin_of(p) + 1] += 1;
-        }
-        for b in 0..num_bins {
-            counts[b + 1] += counts[b];
-        }
-        let starts = counts.clone();
-        let mut ids = vec![0u32; points.len()];
-        let mut cursor = counts;
-        for (i, p) in points.iter().enumerate() {
-            let b = bin_of(p);
-            ids[cursor[b] as usize] = i as u32;
-            cursor[b] += 1;
-        }
-        SpatialIndex {
+        let mut index = SpatialIndex {
+            requested_bin_m,
             bin_m,
             min_x,
             min_y,
             cols,
             rows,
-            starts,
-            ids,
+            starts: Vec::new(),
+            ids: vec![0u32; points.len()],
+        };
+        // Counting sort into CSR: count per bin, prefix-sum, fill.
+        let num_bins = cols * rows;
+        let mut counts = vec![0u32; num_bins + 1];
+        for &p in points {
+            counts[index.bin_of(p) + 1] += 1;
         }
+        for b in 0..num_bins {
+            counts[b + 1] += counts[b];
+        }
+        index.starts = counts.clone();
+        let mut cursor = counts;
+        for (i, &p) in points.iter().enumerate() {
+            let b = index.bin_of(p);
+            index.ids[cursor[b] as usize] = i as u32;
+            cursor[b] += 1;
+        }
+        index
+    }
+
+    /// Brings the index up to date after points moved or were
+    /// appended, without re-binning the others.
+    ///
+    /// `points` is the point set after the change. `moved` lists
+    /// `(id, previous position)` for every already-indexed point whose
+    /// coordinates changed, each id at most once; ids from
+    /// [`len`](Self::len) up to `points.len()` are new. Afterwards every
+    /// query answers exactly as an index built over `points` would.
+    ///
+    /// One linear merge pass over the CSR arrays re-bins the changed
+    /// ids: `O(points + changed · log changed)`, no float work for
+    /// unchanged points. A changed point outside the bins' extent
+    /// falls back to [`build`](Self::build) with the original bin side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `points` is shorter than the index or longer than
+    /// `u32::MAX`.
+    pub fn relocate(&mut self, points: &[Point2], moved: &[(u32, Point2)]) {
+        let indexed = self.ids.len();
+        assert!(
+            (indexed..=u32::MAX as usize).contains(&points.len()),
+            "relocate needs the {indexed} indexed points plus any appended ones"
+        );
+        let appended = indexed as u32..points.len() as u32;
+        let mut enter = Vec::with_capacity(moved.len() + appended.len());
+        for id in moved.iter().map(|&(id, _)| id).chain(appended) {
+            match self.bin_inside(points[id as usize]) {
+                Some(b) => enter.push((b, id)),
+                None => {
+                    *self = Self::build(points, self.requested_bin_m);
+                    return;
+                }
+            }
+        }
+        let mut leave: Vec<(usize, u32)> = moved
+            .iter()
+            .map(|&(id, prev)| (self.bin_of(prev), id))
+            .collect();
+        enter.sort_unstable();
+        leave.sort_unstable();
+
+        let mut ids = Vec::with_capacity(points.len());
+        let mut starts = Vec::with_capacity(self.starts.len());
+        starts.push(0);
+        let (mut leave, mut enter) = (&leave[..], &enter[..]);
+        for (b, w) in self.starts.windows(2).enumerate() {
+            let bin = &self.ids[w[0] as usize..w[1] as usize];
+            let (gone, rest) = leave.split_at(leave.partition_point(|&(lb, _)| lb == b));
+            let (new, tail) = enter.split_at(enter.partition_point(|&(eb, _)| eb == b));
+            (leave, enter) = (rest, tail);
+            if gone.is_empty() && new.is_empty() {
+                ids.extend_from_slice(bin);
+            } else {
+                // Both sides ascend by id: drop the leavers, merge in
+                // the arrivals.
+                let mut gone = gone.iter().map(|&(_, id)| id).peekable();
+                let mut new = new.iter().map(|&(_, id)| id).peekable();
+                for &id in bin {
+                    if gone.next_if_eq(&id).is_some() {
+                        continue;
+                    }
+                    while let Some(n) = new.next_if(|&n| n < id) {
+                        ids.push(n);
+                    }
+                    ids.push(id);
+                }
+                ids.extend(new);
+                debug_assert!(gone.next().is_none(), "moved point not in its bin");
+            }
+            starts.push(ids.len() as u32);
+        }
+        debug_assert_eq!(ids.len(), points.len());
+        self.ids = ids;
+        self.starts = starts;
+    }
+
+    /// The bin of `p`, clamped to the grid (as at build time).
+    fn bin_of(&self, p: Point2) -> usize {
+        let bx = (((p.x - self.min_x) / self.bin_m) as usize).min(self.cols - 1);
+        let by = (((p.y - self.min_y) / self.bin_m) as usize).min(self.rows - 1);
+        by * self.cols + bx
+    }
+
+    /// The bin of `p`, or `None` when `p` lies outside the bins'
+    /// extent (where queries, which clip to the extent, would miss it).
+    fn bin_inside(&self, p: Point2) -> Option<usize> {
+        let bx = ((p.x - self.min_x) / self.bin_m).floor();
+        let by = ((p.y - self.min_y) / self.bin_m).floor();
+        let inside = (0.0..self.cols as f64).contains(&bx) && (0.0..self.rows as f64).contains(&by);
+        inside.then(|| by as usize * self.cols + bx as usize)
     }
 
     /// Number of indexed points.
@@ -405,6 +502,75 @@ mod tests {
         idx.for_each_within(&pts, Point2::new(0.0, 0.0), 100.0, |id| got.push(id));
         got.sort_unstable();
         assert_eq!(got, vec![0, 1]); // d == r is inside
+    }
+
+    /// Every query of `index` over `pts` agrees with the linear scan.
+    fn assert_exact(index: &SpatialIndex, pts: &[Point2], what: &str) {
+        assert_eq!(index.len(), pts.len(), "{what}: size");
+        for (cx, cy, r) in [
+            (0.0, 0.0, 150.0),
+            (500.0, 500.0, 100.0),
+            (990.0, 10.0, 400.0),
+            (1_200.0, 1_200.0, 300.0),
+            (500.0, 500.0, 5000.0),
+        ] {
+            let center = Point2::new(cx, cy);
+            let mut got = Vec::new();
+            index.for_each_within(pts, center, r, |id| got.push(id));
+            got.sort_unstable();
+            assert_eq!(got, brute(pts, center, r), "{what}: r {r} at ({cx},{cy})");
+        }
+    }
+
+    #[test]
+    fn relocate_matches_a_fresh_build() {
+        let mut pts = cloud();
+        let mut index = SpatialIndex::build(&pts, 100.0);
+        let mut state = 7u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        for round in 0..20 {
+            // Move a handful of distinct points inside the extent and
+            // append a few more.
+            let mut ids: Vec<u32> = (0..8).map(|_| (next() % pts.len()) as u32).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let moved: Vec<(u32, Point2)> = ids
+                .iter()
+                .map(|&id| {
+                    let prev = pts[id as usize];
+                    pts[id as usize] = Point2::new((next() % 990) as f64, (next() % 990) as f64);
+                    (id, prev)
+                })
+                .collect();
+            for _ in 0..round % 3 {
+                pts.push(Point2::new((next() % 990) as f64, (next() % 990) as f64));
+            }
+            index.relocate(&pts, &moved);
+            assert_exact(&index, &pts, &format!("round {round}"));
+            assert!(index.ids.windows(2).all(|w| w[0] != w[1]));
+        }
+    }
+
+    #[test]
+    fn relocate_outside_the_extent_rebuilds() {
+        let mut pts = vec![Point2::new(100.0, 100.0), Point2::new(300.0, 300.0)];
+        let mut index = SpatialIndex::build(&pts, 100.0);
+        pts[0] = Point2::new(1_200.0, 1_200.0);
+        index.relocate(&pts, &[(0, Point2::new(100.0, 100.0))]);
+        assert_exact(&index, &pts, "moved out");
+        assert_eq!(index.bin_m(), 100.0);
+
+        // An empty index grows into a real one, keeping the bin side.
+        let mut empty = SpatialIndex::build(&[], 100.0);
+        let pts = cloud();
+        empty.relocate(&pts, &[]);
+        assert_exact(&empty, &pts, "surge into empty");
+        assert_eq!(empty.bin_m(), 100.0);
     }
 
     #[test]

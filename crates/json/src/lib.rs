@@ -122,9 +122,9 @@ impl Json {
     }
 
     /// Serializes to pretty-printed JSON (2-space indent, members in
-    /// stored order, trailing newline) — the inverse of [`parse`]
-    /// (Json::parse) for every value this reader produces, so report
-    /// files survive a parse → mutate → dump round trip with minimal
+    /// stored order, trailing newline) — the inverse of
+    /// [`parse`](Json::parse) for every value this reader produces, so
+    /// report files survive a parse → mutate → dump round trip with minimal
     /// diffs.
     pub fn dump(&self) -> String {
         let mut out = String::new();

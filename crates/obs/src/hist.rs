@@ -99,7 +99,7 @@ pub struct Quantiles {
 }
 
 /// A fixed-size log-linear histogram of `u64` values; see the
-/// [module docs](self) for the bucket scheme and concurrency
+/// `hist` module docs for the bucket scheme and concurrency
 /// guarantees.
 #[derive(Debug)]
 pub struct Histogram {

@@ -6,7 +6,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use uavnet_channel::UavRadio;
@@ -95,8 +95,19 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
     (status, body.to_string())
 }
 
+/// The obs session is process-global and records spans from every
+/// thread, so every test here serializes on this lock: a solve running
+/// in a concurrent test would otherwise land in a recording test's
+/// span tree.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+fn obs_lock() -> MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn loopback_stream_is_bit_identical_to_in_process_solver() {
+    let _obs = obs_lock();
     let instance = build_instance();
     let mut twin = SolverLoop::new(instance.clone(), loop_config()).expect("in-process twin");
     let handle = SolverService::spawn(instance, loop_config(), ServiceConfig::default())
@@ -189,6 +200,7 @@ fn loopback_stream_is_bit_identical_to_in_process_solver() {
 
 #[test]
 fn subscriber_diffs_replay_onto_previous_deployment() {
+    let _obs = obs_lock();
     let instance = build_instance();
     let handle = SolverService::spawn(instance, loop_config(), ServiceConfig::default())
         .expect("spawn service");
@@ -223,6 +235,7 @@ fn subscriber_diffs_replay_onto_previous_deployment() {
 
 #[test]
 fn flood_gets_typed_busy_and_queue_stays_bounded() {
+    let _obs = obs_lock();
     let instance = build_instance();
     let config = ServiceConfig {
         queue_capacity: 2,
@@ -288,6 +301,7 @@ fn flood_gets_typed_busy_and_queue_stays_bounded() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_deltas_and_publishes_final_snapshot() {
+    let _obs = obs_lock();
     let instance = build_instance();
     let config = ServiceConfig {
         apply_delay: Duration::from_millis(10),
@@ -368,6 +382,7 @@ fn graceful_shutdown_drains_in_flight_deltas_and_publishes_final_snapshot() {
 
 #[test]
 fn worker_panic_is_contained_and_poisons_the_loop() {
+    let _obs = obs_lock();
     let instance = build_instance();
     let config = ServiceConfig {
         inject_panic_on_seq: Some(1),
@@ -416,13 +431,9 @@ fn worker_panic_is_contained_and_poisons_the_loop() {
         .is_some_and(|m| m.contains("injected")));
 }
 
-/// The obs session is process-global, so the tests that record one
-/// must serialize against each other.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
 #[test]
 fn http_endpoint_serves_metrics_health_and_404() {
-    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _obs = obs_lock();
     let instance = build_instance();
     // Record an obs session when the instrumentation is compiled in,
     // so /metrics carries live resolve.* counters.
@@ -468,7 +479,7 @@ fn http_endpoint_serves_metrics_health_and_404() {
 
 #[test]
 fn trace_id_round_trips_and_span_tree_is_single_rooted() {
-    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _obs = obs_lock();
     let record_obs = uavnet_obs::is_enabled();
     // Clear any events a previous recorded session left buffered.
     let _ = uavnet_obs::drain_events();
